@@ -2,7 +2,8 @@
 //
 // Covers the full hot-kernel surface: blocked vs naive GEMM (all three
 // transpose variants), batched conv forward/backward, the linear layer,
-// pooling, the sparse-vs-dense spike-GEMM density sweep, IF-neuron stepping,
+// pooling, the sparse-vs-dense spike-GEMM density sweep, a synaptic layer
+// across requests (weight operand reused vs rebuilt), IF-neuron stepping,
 // and dense vs event-driven inference.
 //
 // Regression workflow: tools/bench_to_json.sh runs this binary with JSON
@@ -143,16 +144,12 @@ void BM_Conv2dForwardInt8(benchmark::State& state) {
   Tensor output({1, channels, 32, 32});
   uniform_fill(input, 0.0F, 1.0F, rng);
   uniform_fill(weight, -0.1F, 0.1F, rng);
-  const QuantizedWeight qw =
-      quantize_weight_per_row(weight.data(), channels, channels * 9);
-  QuantizedPackedB packed;
-  packed.pack(qw);
-  std::vector<float> wt_cache;
+  WeightOperand operand;
+  operand.refresh(weight, /*version=*/0, /*int8=*/true);
   SpikeKernelStats stats;
   for (auto _ : state) {
     conv2d_forward_spiking(input, weight, output, spec,
-                           /*density_threshold=*/-1.0F, wt_cache, stats,
-                           &packed);
+                           /*density_threshold=*/-1.0F, operand, stats);
     benchmark::DoNotOptimize(output.data());
   }
   state.SetItemsProcessed(state.iterations() * output.numel());
@@ -298,6 +295,34 @@ void BM_SpikeGemmDense(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kM * kK * kN);
 }
 BENCHMARK(BM_SpikeGemmDense)->Arg(10)->Arg(50)->Arg(100)->Arg(250)->Arg(500)->MinTime(0.2);
+
+// ---- synaptic layer across requests ----
+
+/// One served request through a layer shaped like VGG-11's hidden linear
+/// layer: 512x512, batch 1, T=3, about 18 % input density (above the sparse
+/// threshold, so every step runs the dense fp32 GEMM), with reset_state()
+/// between requests. `warm` reuses the layer's weight operand across
+/// requests; `cold` bumps the weight version every iteration, so each
+/// request pays the transpose and panel packing the operand amortizes. CI
+/// gates warm against cold.
+void BM_SynapticLinearSequence(benchmark::State& state, bool cold) {
+  Rng rng(9);
+  snn::SnnNetwork net(3);
+  Tensor weight({512, 512});
+  uniform_fill(weight, -0.05F, 0.05F, rng);
+  auto& layer = net.emplace<snn::SpikingLinear>(std::move(weight), snn::IfConfig{},
+                                                /*with_neuron=*/true);
+  const Tensor input = spike_matrix(1, 512, 180, rng);
+  for (auto _ : state) {
+    if (cold) ++layer.synapse().weight().version;
+    net.reset_state();
+    Tensor out = net.forward(input, /*train=*/false);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 3 * 512 * 512);
+}
+BENCHMARK_CAPTURE(BM_SynapticLinearSequence, warm, false)->MinTime(0.2);
+BENCHMARK_CAPTURE(BM_SynapticLinearSequence, cold, true)->MinTime(0.2);
 
 // ---- IF neuron ----
 

@@ -33,6 +33,7 @@ void Adam::step() {
     Tensor& m = m_[i];
     Tensor& v = v_[i];
     const float decay = p.decay ? config_.weight_decay : 0.0F;
+    ++p.version;
     for (std::int64_t j = 0; j < p.value.numel(); ++j) {
       const float g = p.grad[j];
       m[j] = config_.beta1 * m[j] + (1.0F - config_.beta1) * g;

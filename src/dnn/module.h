@@ -24,6 +24,11 @@ struct Param {
   /// Parameters flagged false are excluded from weight decay (thresholds,
   /// leaks, biases — decaying those changes the model semantics).
   bool decay = true;
+  /// Bumped by every writer of `value`: optimizer steps, checkpoint loads
+  /// and restores, fault injection, and the synaptic layers' mutable weight
+  /// accessors. Caches derived from `value` compare it to decide when to
+  /// rebuild.
+  std::uint64_t version = 0;
 
   void zero_grad() { grad.fill(0.0F); }
 };

@@ -24,6 +24,7 @@ void Sgd::step() {
     Param& p = *params_[i];
     Tensor& v = velocity_[i];
     const float decay = p.decay ? config_.weight_decay : 0.0F;
+    ++p.version;
     for (std::int64_t j = 0; j < p.value.numel(); ++j) {
       const float g = p.grad[j] + decay * p.value[j];
       v[j] = config_.momentum * v[j] + g;

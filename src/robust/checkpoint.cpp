@@ -126,6 +126,7 @@ void load_params(const std::vector<dnn::Param*>& params, const std::string& path
                                params[i]->name + "' in " + path);
     }
     params[i]->value = stored;
+    ++params[i]->version;
   }
 }
 
@@ -171,6 +172,7 @@ std::int64_t TrainCheckpointer::restore(const std::vector<dnn::Param*>& params,
   const auto rng_state = unpack_u64(require(dict, "rng", path_), 6, "rng");
   for (std::size_t i = 0; i < params.size(); ++i) {
     params[i]->value = dict.at("p" + std::to_string(i));
+    ++params[i]->version;
     params[i]->zero_grad();
     velocity[i] = dict.at("v" + std::to_string(i));
   }

@@ -62,6 +62,7 @@ std::int64_t FaultInjector::inject(const std::vector<dnn::Param*>& params) {
   std::int64_t injected = 0;
   for (dnn::Param* param : params) {
     Tensor& w = param->value;
+    ++param->version;
     injected += inject_tensor_impl(w, spec_.weight_bitflip_rate, /*sign_only=*/false);
     injected += inject_tensor_impl(w, spec_.weight_signflip_rate, /*sign_only=*/true);
     // Stuck-at-zero: a dead output unit is its weight row forced to zero.

@@ -96,6 +96,7 @@ bool HealthMonitor::restore(const std::vector<dnn::Param*>& params,
   }
   for (std::size_t i = 0; i < params.size(); ++i) {
     params[i]->value = saved_values_[i];
+    ++params[i]->version;
     params[i]->zero_grad();
   }
   velocity = saved_velocity_;

@@ -33,10 +33,6 @@ SynapticConv::SynapticConv(Tensor weight, Conv2dSpec spec) : spec_(spec) {
 void SynapticConv::begin_sequence(std::int64_t time_steps, bool train) {
   cached_inputs_.clear();
   if (train) cached_inputs_.resize(static_cast<std::size_t>(time_steps));
-  wt_cache_.clear();  // weights may have changed since the last sequence
-  // Training is about to mutate the weights, so a derived int8 operand goes
-  // stale; a pinned (artifact) one is authoritative and survives.
-  if (train && !qweight_pinned_) qpacked_.clear();
 }
 
 void SynapticConv::set_precision(Precision precision) {
@@ -52,18 +48,14 @@ void SynapticConv::set_quantized_weight(const QuantizedWeight& qw) {
                                 ", expected " + std::to_string(rows) + "x" +
                                 std::to_string(cols));
   }
-  qpacked_.pack(qw);
-  qweight_pinned_ = true;
+  operand_.pin_int8(qw);
 }
 
-const QuantizedPackedB* SynapticConv::int8_operand(bool train) {
-  if (train || precision_ != Precision::kInt8) return nullptr;
-  if (qpacked_.empty()) {
-    const std::int64_t rows = weight_.value.dim(0);
-    qpacked_.pack(quantize_weight_per_row(weight_.value.data(), rows,
-                                          weight_.value.numel() / rows));
-  }
-  return &qpacked_;
+const WeightOperand& SynapticConv::operand(bool train) {
+  // Training forwards run fp32: int8 is an eval-mode dense path only.
+  operand_.refresh(weight_.value, weight_.version,
+                   !train && precision_ == Precision::kInt8);
+  return operand_;
 }
 
 Tensor SynapticConv::forward(const Tensor& input, std::int64_t t, bool train) {
@@ -71,8 +63,7 @@ Tensor SynapticConv::forward(const Tensor& input, std::int64_t t, bool train) {
   // Density dispatch (sparse spike kernel vs blocked GEMM); the dispatch scan
   // also produces the exact nonzero tally for the activity accounting.
   conv2d_forward_spiking(input, weight_.value, out, spec_,
-                         kDefaultSpikeDensityThreshold, wt_cache_, stats_,
-                         int8_operand(train));
+                         kDefaultSpikeDensityThreshold, operand(train), stats_);
   if (train) cached_inputs_[static_cast<std::size_t>(t)] = input;
   return out;
 }
@@ -119,8 +110,6 @@ SynapticLinear::SynapticLinear(Tensor weight) {
 void SynapticLinear::begin_sequence(std::int64_t time_steps, bool train) {
   cached_inputs_.clear();
   if (train) cached_inputs_.resize(static_cast<std::size_t>(time_steps));
-  wt_cache_.clear();  // weights may have changed since the last sequence
-  if (train && !qweight_pinned_) qpacked_.clear();  // see SynapticConv
 }
 
 void SynapticLinear::set_precision(Precision precision) {
@@ -134,17 +123,13 @@ void SynapticLinear::set_quantized_weight(const QuantizedWeight& qw) {
                                 ", expected " + std::to_string(out_features()) + "x" +
                                 std::to_string(in_features()));
   }
-  qpacked_.pack(qw);
-  qweight_pinned_ = true;
+  operand_.pin_int8(qw);
 }
 
-const QuantizedPackedB* SynapticLinear::int8_operand(bool train) {
-  if (train || precision_ != Precision::kInt8) return nullptr;
-  if (qpacked_.empty()) {
-    qpacked_.pack(quantize_weight_per_row(weight_.value.data(), out_features(),
-                                          in_features()));
-  }
-  return &qpacked_;
+const WeightOperand& SynapticLinear::operand(bool train) {
+  operand_.refresh(weight_.value, weight_.version,
+                   !train && precision_ == Precision::kInt8);
+  return operand_;
 }
 
 Tensor SynapticLinear::forward(const Tensor& input, std::int64_t t, bool train) {
@@ -155,7 +140,7 @@ Tensor SynapticLinear::forward(const Tensor& input, std::int64_t t, bool train) 
   const std::int64_t n = input.dim(0);
   Tensor out({n, out_features()});
   linear_forward_spiking(input, weight_.value, out, kDefaultSpikeDensityThreshold,
-                         wt_cache_, stats_, int8_operand(train));
+                         operand(train), stats_);
   if (train) cached_inputs_[static_cast<std::size_t>(t)] = input;
   return out;
 }

@@ -45,7 +45,12 @@ class SynapticConv {
   /// Gradient w.r.t. the step-t input; accumulates the weight gradient.
   Tensor backward(const Tensor& grad_current, std::int64_t t);
 
-  Param& weight() { return weight_; }
+  /// Mutable access counts as a write: it bumps the weight version, so the
+  /// next forward rebuilds the operand from whatever the caller stores.
+  Param& weight() {
+    ++weight_.version;
+    return weight_;
+  }
   const Param& weight() const { return weight_; }
   const Conv2dSpec& spec() const { return spec_; }
   Shape output_shape(const Shape& input) const;
@@ -55,19 +60,15 @@ class SynapticConv {
   std::int64_t input_elements() const { return stats_.elements; }
   const SpikeKernelStats& kernel_stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
-  /// Drop cached inputs and the transposed-weight cache (isolation contract).
-  /// A pinned (artifact-installed) quantized weight is parameter-like and
-  /// survives; a derived one is a cache and is dropped.
-  void clear_runtime_state() {
-    cached_inputs_.clear();
-    wt_cache_.clear();
-    if (!qweight_pinned_) qpacked_.clear();
-  }
+  /// Drop cached inputs (isolation contract). The weight operand stays: it
+  /// is a pure function of the weight, rebuilt only when the weight version
+  /// moves, so keeping it cannot leak one request into the next.
+  void clear_runtime_state() { cached_inputs_.clear(); }
 
   /// Inference precision: int8 applies to the eval-mode dense forward only
   /// (training steps and sparse samples stay fp32). Without a pinned weight
-  /// the int8 operand is derived from the fp32 weight lazily and re-derived
-  /// after any training sequence.
+  /// the int8 operand is derived from the fp32 weight lazily, once per
+  /// weight version.
   void set_precision(Precision precision);
   Precision precision() const { return precision_; }
   /// Install pre-quantized weights (from an artifact); pins the operand so it
@@ -75,18 +76,14 @@ class SynapticConv {
   void set_quantized_weight(const QuantizedWeight& qw);
 
  private:
-  const QuantizedPackedB* int8_operand(bool train);
+  const WeightOperand& operand(bool train);
 
   Param weight_;
   Conv2dSpec spec_;
   std::vector<Tensor> cached_inputs_;
-  // Transposed-weight cache for the spiking kernels; invalidated each
-  // begin_sequence (weights only change between sequences).
-  std::vector<float> wt_cache_;
+  WeightOperand operand_;  // built from weight_ once per weight version
   SpikeKernelStats stats_;
   Precision precision_ = Precision::kFp32;
-  QuantizedPackedB qpacked_;
-  bool qweight_pinned_ = false;
 };
 
 class SynapticLinear {
@@ -97,7 +94,11 @@ class SynapticLinear {
   Tensor forward(const Tensor& input, std::int64_t t, bool train);
   Tensor backward(const Tensor& grad_current, std::int64_t t);
 
-  Param& weight() { return weight_; }
+  /// Same version-bumping contract as SynapticConv::weight().
+  Param& weight() {
+    ++weight_.version;
+    return weight_;
+  }
   const Param& weight() const { return weight_; }
   std::int64_t in_features() const { return weight_.value.dim(1); }
   std::int64_t out_features() const { return weight_.value.dim(0); }
@@ -107,13 +108,8 @@ class SynapticLinear {
   std::int64_t input_elements() const { return stats_.elements; }
   const SpikeKernelStats& kernel_stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
-  /// Drop cached inputs and the transposed-weight cache (isolation contract).
-  /// Same pinned-vs-derived quantized-weight rule as SynapticConv.
-  void clear_runtime_state() {
-    cached_inputs_.clear();
-    wt_cache_.clear();
-    if (!qweight_pinned_) qpacked_.clear();
-  }
+  /// Drop cached inputs; the weight operand stays (see SynapticConv).
+  void clear_runtime_state() { cached_inputs_.clear(); }
 
   /// Same int8 contract as SynapticConv.
   void set_precision(Precision precision);
@@ -121,15 +117,13 @@ class SynapticLinear {
   void set_quantized_weight(const QuantizedWeight& qw);
 
  private:
-  const QuantizedPackedB* int8_operand(bool train);
+  const WeightOperand& operand(bool train);
 
   Param weight_;
   std::vector<Tensor> cached_inputs_;
-  std::vector<float> wt_cache_;  // [in, out] W^T; invalidated per sequence
+  WeightOperand operand_;  // built from weight_ once per weight version
   SpikeKernelStats stats_;
   Precision precision_ = Precision::kFp32;
-  QuantizedPackedB qpacked_;
-  bool qweight_pinned_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -228,6 +222,7 @@ class SpikingConv2d final : public SpikingLayer {
   }
 
   SynapticConv& synapse() { return synapse_; }
+  const SynapticConv& synapse() const { return synapse_; }
 
  private:
   SynapticConv synapse_;
@@ -271,6 +266,7 @@ class SpikingLinear final : public SpikingLayer {
   }
 
   SynapticLinear& synapse() { return synapse_; }
+  const SynapticLinear& synapse() const { return synapse_; }
   bool has_neuron() const { return neuron_ != nullptr; }
 
  private:

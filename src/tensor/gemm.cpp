@@ -176,40 +176,81 @@ float* pack_a_block(MatView a, std::int64_t ic, std::int64_t mc, std::int64_t pc
 
 }  // namespace
 
-void PackedB::pack(MatView b, std::int64_t k, std::int64_t n, Arena& arena) {
+std::size_t PackedB::plan_blocks(std::int64_t k, std::int64_t n) {
   k_ = k;
   n_ = n;
   nr_ = kernel_plan().fp32_nr;
-  const std::int64_t nr = nr_;
   blocks_.clear();
+  std::size_t total = 0;
   for (std::int64_t jc = 0; jc < n; jc += kNC) {
     const std::int64_t nc = std::min(kNC, n - jc);
     for (std::int64_t pc = 0; pc < k; pc += kKC) {
       const std::int64_t kc = std::min(kKC, k - pc);
-      const std::int64_t panels = ceil_div(nc, nr);
-      float* data = arena.alloc_floats(static_cast<std::size_t>(panels * kc * nr));
-      for (std::int64_t j0 = 0; j0 < nc; j0 += nr) {
-        float* dst = data + (j0 / nr) * kc * nr;
-        const std::int64_t jr = std::min(nr, nc - j0);
-        if (b.cs == 1) {
-          // Contiguous source rows: bulk copy + zero pad.
-          for (std::int64_t kk = 0; kk < kc; ++kk) {
-            const float* src = b.data + (pc + kk) * b.rs + (jc + j0);
-            std::memcpy(dst + kk * nr, src, static_cast<std::size_t>(jr) * sizeof(float));
-            for (std::int64_t j = jr; j < nr; ++j) dst[kk * nr + j] = 0.0F;
-          }
-        } else {
-          for (std::int64_t kk = 0; kk < kc; ++kk) {
-            const float* src = b.data + (pc + kk) * b.rs + (jc + j0) * b.cs;
-            std::int64_t j = 0;
-            for (; j < jr; ++j) dst[kk * nr + j] = src[j * b.cs];
-            for (; j < nr; ++j) dst[kk * nr + j] = 0.0F;
-          }
-        }
-      }
-      blocks_.push_back({data, pc, kc, jc, nc});
+      blocks_.push_back({total, pc, kc, jc, nc});
+      total += static_cast<std::size_t>(ceil_div(nc, nr_) * kc * nr_);
     }
   }
+  return total;
+}
+
+void PackedB::fill(MatView b, float* base) const {
+  const std::int64_t nr = nr_;
+  for (const Block& block : blocks_) {
+    const std::int64_t pc = block.pc;
+    const std::int64_t kc = block.kc;
+    const std::int64_t jc = block.jc;
+    float* data = base + block.offset;
+    for (std::int64_t j0 = 0; j0 < block.nc; j0 += nr) {
+      float* dst = data + (j0 / nr) * kc * nr;
+      const std::int64_t jr = std::min(nr, block.nc - j0);
+      if (b.cs == 1) {
+        // Contiguous source rows: bulk copy + zero pad.
+        for (std::int64_t kk = 0; kk < kc; ++kk) {
+          const float* src = b.data + (pc + kk) * b.rs + (jc + j0);
+          std::memcpy(dst + kk * nr, src, static_cast<std::size_t>(jr) * sizeof(float));
+          for (std::int64_t j = jr; j < nr; ++j) dst[kk * nr + j] = 0.0F;
+        }
+      } else {
+        for (std::int64_t kk = 0; kk < kc; ++kk) {
+          const float* src = b.data + (pc + kk) * b.rs + (jc + j0) * b.cs;
+          std::int64_t j = 0;
+          for (; j < jr; ++j) dst[kk * nr + j] = src[j * b.cs];
+          for (; j < nr; ++j) dst[kk * nr + j] = 0.0F;
+        }
+      }
+    }
+  }
+}
+
+namespace {
+// Owned panels start at the first cache-line boundary inside owned_, the
+// alignment arena panels get. Recomputed per use so copies stay valid.
+constexpr std::size_t kPanelAlignFloats = 64 / sizeof(float);
+
+std::size_t align_skew(const float* p) {
+  const auto addr = reinterpret_cast<std::uintptr_t>(p);
+  return (((addr + 63) & ~std::uintptr_t{63}) - addr) / sizeof(float);
+}
+}  // namespace
+
+const float* PackedB::base() const {
+  if (owned_.empty()) return arena_base_;
+  return owned_.data() + align_skew(owned_.data());
+}
+
+void PackedB::pack(MatView b, std::int64_t k, std::int64_t n, Arena& arena) {
+  const std::size_t total = plan_blocks(k, n);
+  owned_.clear();
+  float* base = arena.alloc_floats(total);
+  arena_base_ = base;
+  fill(b, base);
+}
+
+void PackedB::pack(MatView b, std::int64_t k, std::int64_t n) {
+  const std::size_t total = plan_blocks(k, n);
+  arena_base_ = nullptr;
+  owned_.resize(total + kPanelAlignFloats);
+  fill(b, owned_.data() + align_skew(owned_.data()));
 }
 
 void gemm_packed(MatView a, const PackedB& b, float* c, std::int64_t m,
@@ -228,13 +269,14 @@ void gemm_packed(MatView a, const PackedB& b, float* c, std::int64_t m,
   const auto kernel = reinterpret_cast<detail::MicroKernelFp32>(plan.fp32);
   const std::int64_t nr = plan.fp32_nr;
   Arena& arena = thread_arena();
+  const float* panels = b.base();
   for (const PackedB::Block& block : b.blocks_) {
     for (std::int64_t ic = 0; ic < m; ic += kMC) {
       const std::int64_t mc = std::min(kMC, m - ic);
       ArenaScope scope(arena);
       const float* ap = pack_a_block(a, ic, mc, block.pc, block.kc, arena);
       for (std::int64_t j0 = 0; j0 < block.nc; j0 += nr) {
-        const float* bp = block.data + (j0 / nr) * block.kc * nr;
+        const float* bp = panels + block.offset + (j0 / nr) * block.kc * nr;
         const std::int64_t cols = std::min(nr, block.nc - j0);
         for (std::int64_t i0 = 0; i0 < mc; i0 += kMR) {
           kernel(ap + (i0 / kMR) * block.kc * kMR, bp,

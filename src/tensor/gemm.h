@@ -14,10 +14,12 @@
 // on geometry. Transposed operands cost nothing extra — packing reads through
 // a strided MatView, so matmul_at / matmul_bt share the single kernel.
 //
-// PackedB lets a caller pack a reused right-hand operand once (conv weights
-// across the batch-sample loop; linear weights across time steps) and run
-// many GEMMs against it. All scratch comes from the per-thread Arena — no
-// heap traffic in steady state.
+// PackedB lets a caller pack a reused right-hand operand once and run many
+// GEMMs against it: per call into the thread Arena (a conv weight across the
+// batch-sample loop), or into owned storage that outlives the call (a
+// synaptic layer's weight operand, packed once per weight version and reused
+// across time steps and requests; see WeightOperand in ops.h). All other
+// scratch comes from the per-thread Arena — no heap traffic in steady state.
 //
 // spmm_row_compressed is the spike path: A rows are compressed to their
 // nonzero (index, value) pairs on the fly, and C accumulates value-scaled
@@ -59,31 +61,44 @@ inline MatView transposed(const float* data, std::int64_t ld) {
 }
 
 /// Right-hand operand packed once into micro-kernel panel layout, reusable
-/// across any number of gemm_packed calls. Panels live in the arena passed to
-/// pack(), so the PackedB must not outlive that arena's enclosing ArenaScope.
+/// across any number of gemm_packed calls.
 class PackedB {
  public:
-  /// Pack the [k, n] matrix viewed by `b` into panels allocated from `arena`.
+  /// Pack the [k, n] matrix viewed by `b` into panels allocated from `arena`;
+  /// the PackedB must not outlive that arena's enclosing ArenaScope.
   /// Panels are laid out for the kernel plan active at pack time; gemm_packed
   /// rejects a PackedB packed under a different plan (re-pack after
   /// set_kernel_isa_for_testing).
   void pack(MatView b, std::int64_t k, std::int64_t n, Arena& arena);
+  /// Same layout, into storage this PackedB owns, sized to the panels (plus
+  /// cache-line alignment slack); valid until the next pack.
+  void pack(MatView b, std::int64_t k, std::int64_t n);
 
+  bool empty() const { return blocks_.empty(); }
   std::int64_t k() const { return k_; }
   std::int64_t n() const { return n_; }
+  /// Panel width the panels were packed for (KernelPlan::fp32_nr).
+  std::int64_t nr() const { return nr_; }
 
  private:
   friend void gemm_packed(MatView a, const PackedB& b, float* c, std::int64_t m,
                           bool accumulate);
-  /// Panel block for one (pc, jc) tile of B; `data` holds ceil(nc/NR) panels
-  /// of kc x NR floats each, consecutive panels covering consecutive NR-wide
-  /// column strips.
+  /// Lay out the blocks for a [k, n] operand; returns the panel float count.
+  std::size_t plan_blocks(std::int64_t k, std::int64_t n);
+  void fill(MatView b, float* base) const;
+  const float* base() const;
+
+  /// Panel block for one (pc, jc) tile of B; base() + `offset` holds
+  /// ceil(nc/NR) panels of kc x NR floats each, consecutive panels covering
+  /// consecutive NR-wide column strips.
   struct Block {
-    const float* data;
+    std::size_t offset;
     std::int64_t pc, kc;  // K-range [pc, pc+kc)
     std::int64_t jc, nc;  // N-range [jc, jc+nc)
   };
   std::vector<Block> blocks_;
+  std::vector<float> owned_;           // owned panels (see base())
+  const float* arena_base_ = nullptr;  // arena panels when owned_ is empty
   std::int64_t k_ = 0;
   std::int64_t n_ = 0;
   std::int64_t nr_ = 0;  // panel width the blocks were packed for
@@ -133,9 +148,9 @@ QuantizedWeight quantize_weight_per_row(const float* w, std::int64_t rows,
 
 /// Pre-quantized right-hand operand in int8 micro-kernel panel layout
 /// (B = W^T: k = w.cols, n = w.rows), plus the per-block column sums the
-/// epilogue needs for the activation zero-point correction. Unlike PackedB,
-/// storage is owned by this object — a layer packs once and reuses across
-/// time steps, sequences, and threads (read-only after pack).
+/// epilogue needs for the activation zero-point correction. Storage is owned
+/// by this object — a layer packs once per weight version and reuses it
+/// across time steps, sequences, and threads (read-only after pack).
 class QuantizedPackedB {
  public:
   void pack(const QuantizedWeight& w);

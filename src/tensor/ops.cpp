@@ -8,6 +8,7 @@
 
 #include "src/obs/metrics.h"
 #include "src/tensor/arena.h"
+#include "src/tensor/dispatch.h"
 #include "src/tensor/gemm.h"
 #include "src/util/parallel.h"
 
@@ -484,12 +485,62 @@ void conv_sample_sparse(const float* img, const float* wt, float* out_t,
 
 }  // namespace
 
+void WeightOperand::refresh(const Tensor& weight, std::uint64_t version,
+                            bool int8) {
+  if (wt_.empty() || version != version_) {
+    rows_ = weight.dim(0);
+    cols_ = weight.numel() / rows_;
+    version_ = version;
+    // [rows, cols] -> [cols, rows]: the rows of the transpose are what the
+    // sparse kernels scatter, one per nonzero input.
+    wt_.resize(static_cast<std::size_t>(rows_ * cols_));
+    const float* w = weight.data();
+    for (std::int64_t r = 0; r < rows_; ++r) {
+      for (std::int64_t c = 0; c < cols_; ++c) {
+        wt_[static_cast<std::size_t>(c * rows_ + r)] = w[r * cols_ + c];
+      }
+    }
+    if (!pinned_) qpacked_.clear();
+  }
+  int8_ = int8;
+  if (int8) {
+    if (qpacked_.empty()) {
+      qpacked_.pack(quantize_weight_per_row(weight.data(), rows_, cols_));
+    }
+  } else if (panels_.empty() || panels_version_ != version_ ||
+             panels_.nr() != kernel_plan().fp32_nr) {
+    panels_.pack(row_major(wt_.data(), rows_), cols_, rows_);
+    panels_version_ = version_;
+  }
+}
+
+void WeightOperand::pin_int8(const QuantizedWeight& qw) {
+  qpacked_.pack(qw);
+  pinned_ = true;
+}
+
+namespace {
+
+void check_operand(const WeightOperand& operand, std::int64_t rows,
+                   std::int64_t cols, const char* who) {
+  const QuantizedPackedB* q = operand.int8();
+  if (operand.rows() != rows || operand.cols() != cols ||
+      (q != nullptr && (q->k() != cols || q->n() != rows))) {
+    throw std::invalid_argument(std::string(who) + ": weight operand is " +
+                                std::to_string(operand.rows()) + "x" +
+                                std::to_string(operand.cols()) + ", expected " +
+                                std::to_string(rows) + "x" + std::to_string(cols) +
+                                " (refresh it for this weight)");
+  }
+}
+
+}  // namespace
+
 void conv2d_forward_spiking(const Tensor& input, const Tensor& weight,
                             Tensor& output, const Conv2dSpec& spec,
                             float density_threshold,
-                            std::vector<float>& wt_cache,
-                            SpikeKernelStats& stats,
-                            const QuantizedPackedB* qweight) {
+                            const WeightOperand& operand,
+                            SpikeKernelStats& stats) {
   const std::int64_t batch = input.dim(0);
   const std::int64_t height = input.dim(2);
   const std::int64_t width = input.dim(3);
@@ -498,31 +549,16 @@ void conv2d_forward_spiking(const Tensor& input, const Tensor& weight,
   const std::int64_t patch = spec.in_channels * spec.kernel * spec.kernel;
   const std::int64_t chw = spec.in_channels * height * width;
   check_conv_input(input, spec, "conv2d_forward_spiking");
-  if (wt_cache.empty()) {
-    // [Cout, patch] -> [patch, Cout]; rebuilt only after begin_sequence
-    // invalidates it, so the transpose amortizes over the T time steps.
-    wt_cache.resize(static_cast<std::size_t>(patch * cout));
-    const float* w = weight.data();
-    for (std::int64_t co = 0; co < cout; ++co) {
-      for (std::int64_t p = 0; p < patch; ++p) {
-        wt_cache[static_cast<std::size_t>(p * cout + co)] = w[co * patch + p];
-      }
-    }
+  check_operand(operand, cout, patch, "conv2d_forward_spiking");
+  if (weight.numel() != cout * patch) {
+    throw std::invalid_argument("conv2d_forward_spiking: weight " +
+                                shape_to_string(weight.shape()) +
+                                " does not match the spec");
   }
-  if (qweight != nullptr && (qweight->k() != patch || qweight->n() != cout)) {
-    throw std::invalid_argument("conv2d_forward_spiking: quantized weight is " +
-                                std::to_string(qweight->k()) + "x" +
-                                std::to_string(qweight->n()) + ", expected " +
-                                std::to_string(patch) + "x" + std::to_string(cout));
-  }
+  const float* wt = operand.transposed();
+  const QuantizedPackedB* qweight = operand.int8();
   Arena& arena = thread_arena();
   ArenaScope scope(arena);
-  // With an int8 weight installed, dense samples never touch the fp32 packed
-  // panels — skip the packing work entirely.
-  PackedB wt_packed;
-  if (qweight == nullptr) {
-    wt_packed.pack(row_major(wt_cache.data(), cout), patch, cout, arena);
-  }
   std::int64_t* nnz = arena.alloc_indices(static_cast<std::size_t>(batch));
   const auto run_sample = [&](std::int64_t n) {
     Arena& local = thread_arena();
@@ -537,7 +573,7 @@ void conv2d_forward_spiking(const Tensor& input, const Tensor& weight,
     float* out_t = local.alloc_floats(static_cast<std::size_t>(ohw * cout));
     if (sparse) {
       std::memset(out_t, 0, static_cast<std::size_t>(ohw * cout) * sizeof(float));
-      conv_sample_sparse(img, wt_cache.data(), out_t, spec, height, width);
+      conv_sample_sparse(img, wt, out_t, spec, height, width);
     } else {
       float* rows = local.alloc_floats(static_cast<std::size_t>(ohw * patch));
       im2row(img, rows, spec.in_channels, height, width, spec);
@@ -545,7 +581,8 @@ void conv2d_forward_spiking(const Tensor& input, const Tensor& weight,
         gemm_packed_int8(row_major(rows, patch), *qweight, out_t, ohw,
                          /*accumulate=*/false);
       } else {
-        gemm_packed(row_major(rows, patch), wt_packed, out_t, ohw, /*accumulate=*/false);
+        gemm_packed(row_major(rows, patch), operand.panels(), out_t, ohw,
+                    /*accumulate=*/false);
       }
     }
     transpose_to_nchw(out_t, output.data() + n * cout * ohw, nullptr, cout, ohw);
@@ -572,18 +609,13 @@ void conv2d_forward_spiking(const Tensor& input, const Tensor& weight,
 
 void linear_forward_spiking(const Tensor& input, const Tensor& weight,
                             Tensor& output, float density_threshold,
-                            std::vector<float>& wt_cache,
-                            SpikeKernelStats& stats,
-                            const QuantizedPackedB* qweight) {
+                            const WeightOperand& operand,
+                            SpikeKernelStats& stats) {
   const std::int64_t m = input.dim(0);
   const std::int64_t in = weight.dim(1);
   const std::int64_t out = weight.dim(0);
-  if (qweight != nullptr && (qweight->k() != in || qweight->n() != out)) {
-    throw std::invalid_argument("linear_forward_spiking: quantized weight is " +
-                                std::to_string(qweight->k()) + "x" +
-                                std::to_string(qweight->n()) + ", expected " +
-                                std::to_string(in) + "x" + std::to_string(out));
-  }
+  check_operand(operand, out, in, "linear_forward_spiking");
+  const QuantizedPackedB* qweight = operand.int8();
   // The dispatch scan doubles as the activity count (see conv above).
   const std::int64_t nnz = count_nonzeros_raw(input.data(), m * in);
   stats.nonzeros += nnz;
@@ -592,24 +624,19 @@ void linear_forward_spiking(const Tensor& input, const Tensor& weight,
                       static_cast<double>(density_threshold) *
                           static_cast<double>(m * in);
   if (sparse) {
-    if (wt_cache.empty()) {
-      wt_cache.resize(static_cast<std::size_t>(in * out));
-      const float* w = weight.data();
-      for (std::int64_t o = 0; o < out; ++o) {
-        for (std::int64_t i = 0; i < in; ++i) {
-          wt_cache[static_cast<std::size_t>(i * out + o)] = w[o * in + i];
-        }
-      }
-    }
-    spmm_row_compressed(input.data(), wt_cache.data(), output.data(), m, in, out,
-                        /*accumulate=*/false);
+    spmm_row_compressed(input.data(), operand.transposed(), output.data(), m, in,
+                        out, /*accumulate=*/false);
     stats.sparse_samples += m;
   } else {
     if (qweight != nullptr) {
       gemm_packed_int8(row_major(input.data(), in), *qweight, output.data(), m,
                        /*accumulate=*/false);
+    } else if (use_naive(m, in, out)) {
+      matmul_bt_naive(input.data(), weight.data(), output.data(), m, in, out);
     } else {
-      matmul_bt(input.data(), weight.data(), output.data(), m, in, out);
+      // The blocked path matmul_bt would take, minus its per-call repack.
+      gemm_packed(row_major(input.data(), in), operand.panels(), output.data(), m,
+                  /*accumulate=*/false);
     }
     stats.dense_samples += m;
   }

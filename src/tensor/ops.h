@@ -3,9 +3,10 @@
 // NCHW, float32.
 //
 // The dense paths route through the cache-blocked, panel-packed GEMM in
-// gemm.h (tiny shapes fall back to the retained naive kernels). Convolution
-// packs the weight operand's panels once per call and reuses them across the
-// batch-sample loop. Batch-level parallelism via the process-wide ThreadPool
+// gemm.h (tiny shapes fall back to the retained naive kernels). The DNN
+// convolution packs its weight's panels once per call and reuses them across
+// the batch-sample loop; the spiking entry points read a WeightOperand that
+// the layer keeps from call to call. Batch-level parallelism via the process-wide ThreadPool
 // (util/parallel.h) is bitwise-deterministic at any thread count: samples
 // write disjoint slices, and conv2d_backward reduces per-sample gradient
 // partials in fixed index order. Scratch comes from the per-thread Arena
@@ -117,33 +118,77 @@ struct SpikeKernelStats {
   std::int64_t dense_samples = 0;   // samples dispatched to the dense kernel
 };
 
+/// Everything the spiking forward kernels read from one synaptic weight
+/// W [rows, cols] (conv: [Cout, Cin*K*K]; linear: [out, in]):
+///  - the [cols, rows] transpose the sparse kernels scatter from;
+///  - fp32 GEMM panels of that transpose, in owned storage, for the dense
+///    fp32 path;
+///  - int8 panels for the dense int8 path, derived from W or pinned from an
+///    artifact.
+/// It is a pure function of W, built once per weight version and reused
+/// across time steps, sequences and requests: refresh() rebuilds everything
+/// when the version it is given moves, and only the fp32 panels when the
+/// kernel plan's panel width moves (an ISA switch). A sequence boundary or
+/// reset_state() never invalidates it. A pinned int8 weight is never
+/// re-derived. One per layer replica: refresh() is not thread-safe, but the
+/// operand is read-only (and shared by a kernel's worker threads) between
+/// refreshes.
+class WeightOperand {
+ public:
+  /// Bring the operand up to date with `weight` at `version` for a forward
+  /// whose dense path runs in int8 (`int8`) or fp32. Reads `weight` through
+  /// const access only, so a borrowed (artifact-mapped) weight stays borrowed.
+  void refresh(const Tensor& weight, std::uint64_t version, bool int8);
+  /// Install pre-quantized [rows, cols] weights (from an artifact) and pin
+  /// them: every later int8 forward uses them, whatever the fp32 weight.
+  void pin_int8(const QuantizedWeight& qw);
+
+  std::int64_t rows() const { return rows_; }
+  std::int64_t cols() const { return cols_; }
+  /// [cols, rows] transpose of W.
+  const float* transposed() const { return wt_.data(); }
+  /// fp32 panels of the transpose (k = cols, n = rows).
+  const PackedB& panels() const { return panels_; }
+  /// The int8 operand when the last refresh asked for int8, else null.
+  const QuantizedPackedB* int8() const { return int8_ ? &qpacked_ : nullptr; }
+
+ private:
+  std::vector<float> wt_;
+  PackedB panels_;
+  QuantizedPackedB qpacked_;
+  std::uint64_t version_ = 0;         // weight version wt_ was built from
+  std::uint64_t panels_version_ = 0;  // weight version panels_ were packed from
+  std::int64_t rows_ = 0;
+  std::int64_t cols_ = 0;
+  bool int8_ = false;
+  bool pinned_ = false;
+};
+
 /// Forward convolution with per-sample density dispatch: samples whose input
 /// density is <= `density_threshold` run an event-style scatter over the
 /// nonzero pixels (cost ~ nnz * K^2 * Cout); the rest run the blocked dense
-/// path. `wt_cache` caches the [Cin*K*K, Cout] transposed weight — the caller
-/// owns it and must clear() it whenever the weight changes (layers do this in
-/// begin_sequence). The dispatch scan counts nonzeros exactly and accumulates
+/// path. `operand` must be refreshed for `weight` [Cout, Cin, K, K]; dense
+/// samples run the int8 kernel when it holds an int8 operand, else the fp32
+/// GEMM against its prepacked panels; sparse samples always take the fp32
+/// scatter (the dispatch is deterministic, so mixed-precision results stay
+/// reproducible). The dispatch scan counts nonzeros exactly and accumulates
 /// them into `stats`, which replaces the layers' standalone counting pass.
-/// When `qweight` (packed from the [Cout, Cin*K*K] weight) is non-null, dense
-/// samples run the int8 kernel against it instead of the fp32 blocked GEMM;
-/// sparse samples keep the fp32 scatter (the dispatch is deterministic, so
-/// mixed-precision results stay reproducible).
 void conv2d_forward_spiking(const Tensor& input, const Tensor& weight,
                             Tensor& output, const Conv2dSpec& spec,
                             float density_threshold,
-                            std::vector<float>& wt_cache,
-                            SpikeKernelStats& stats,
-                            const QuantizedPackedB* qweight = nullptr);
+                            const WeightOperand& operand,
+                            SpikeKernelStats& stats);
 
 /// Fully-connected forward (out[N,out] = input[N,in] * W^T) with the same
 /// density dispatch: sparse inputs take the row-compressed spike GEMM against
-/// the cached [in, out] transposed weight. Same `wt_cache` contract as above;
-/// same optional int8 dense path (`qweight` packed from the [out, in] weight).
+/// the operand's [in, out] transpose; dense inputs take the int8 kernel or
+/// the fp32 GEMM against the prepacked panels (shapes below the naive-GEMM
+/// cutoff keep matmul_bt_naive on `weight` itself). Same `operand` contract
+/// as above.
 void linear_forward_spiking(const Tensor& input, const Tensor& weight,
                             Tensor& output, float density_threshold,
-                            std::vector<float>& wt_cache,
-                            SpikeKernelStats& stats,
-                            const QuantizedPackedB* qweight = nullptr);
+                            const WeightOperand& operand,
+                            SpikeKernelStats& stats);
 
 // ---------------------------------------------------------------------------
 // Pooling.

@@ -17,6 +17,62 @@
 
 namespace ullsnn {
 
+namespace detail {
+
+/// ThreadPool's shared job state and the steps of its protocol. Every step
+/// except the two waits is one non-blocking critical section; ThreadPool
+/// composes them with its threads and waits, and the sched model
+/// (tests/sched/pool_model_test.cpp) drives the same steps under every
+/// interleaving, polling where the pool would wait.
+class JobBoard {
+ public:
+  using Job = std::function<void(std::int64_t)>;
+
+  /// Caller: publish `job` over indices [0, count) as a new generation and
+  /// wake the workers. Returns the generation, which the caller claims under.
+  std::uint64_t post(const Job* job, std::int64_t count);
+  /// Worker: if a generation newer than `seen` was posted, join it: count the
+  /// worker active, advance `seen`, and return true with the job in `job`
+  /// (null when the caller already retired it).
+  bool try_join(std::uint64_t& seen, const Job*& job);
+  /// try_join that blocks until there is a generation to join; false once
+  /// the board is shut down.
+  bool join(std::uint64_t& seen, const Job*& job);
+  /// Hand out the next index of generation `seen`. False once the job is
+  /// exhausted or failed, or a newer generation has replaced it: a worker
+  /// that joined a generation after its caller retired it holds no job and
+  /// must not claim the next generation's indices.
+  bool claim(std::uint64_t seen, std::int64_t& index);
+  /// Keep the first error of the generation and stop handing out indices.
+  void fail(std::exception_ptr error);
+  /// Worker: leave the generation it joined.
+  void leave();
+  /// Caller: once no worker is active, retire the job (no later join sees
+  /// it) and return true with its first error, if any, in `error`. False
+  /// while workers are still active.
+  bool try_retire(std::exception_ptr& error);
+  /// Block until no worker is active.
+  void wait_idle();
+  /// Make every current and future join() return false.
+  void shut_down();
+
+ private:
+  bool join_locked(std::uint64_t& seen, const Job*& job) REQUIRES(mutex_);
+
+  Mutex mutex_;
+  CondVar wake_;
+  CondVar done_;
+  const Job* job_ GUARDED_BY(mutex_) = nullptr;
+  std::int64_t job_count_ GUARDED_BY(mutex_) = 0;
+  std::int64_t next_index_ GUARDED_BY(mutex_) = 0;
+  std::int64_t active_ GUARDED_BY(mutex_) = 0;
+  std::uint64_t generation_ GUARDED_BY(mutex_) = 0;
+  bool shutdown_ GUARDED_BY(mutex_) = false;
+  std::exception_ptr job_error_ GUARDED_BY(mutex_);
+};
+
+}  // namespace detail
+
 class ThreadPool {
  public:
   /// Spawns `threads` workers (0 or 1 => no workers; run() executes inline).
@@ -30,7 +86,7 @@ class ThreadPool {
   }
 
   /// Run fn(i) for i in [0, count), blocking until all iterations finish.
-  /// Iterations are distributed dynamically (atomic counter), so uneven
+  /// Iterations are distributed dynamically (shared counter), so uneven
   /// per-iteration cost balances automatically.
   ///
   /// Exceptions: if any iteration throws, the FIRST exception is captured,
@@ -42,21 +98,9 @@ class ThreadPool {
 
  private:
   void worker_loop();
-  /// Record the first failure and stop handing out indices (takes mutex_
-  /// internally).
-  void record_error(std::exception_ptr error);
 
+  detail::JobBoard board_;
   std::vector<std::thread> workers_;
-  Mutex mutex_;
-  CondVar wake_;
-  CondVar done_;
-  const std::function<void(std::int64_t)>* job_ GUARDED_BY(mutex_) = nullptr;
-  std::int64_t job_count_ GUARDED_BY(mutex_) = 0;
-  std::int64_t next_index_ GUARDED_BY(mutex_) = 0;
-  std::int64_t active_ GUARDED_BY(mutex_) = 0;
-  std::uint64_t generation_ GUARDED_BY(mutex_) = 0;
-  bool shutdown_ GUARDED_BY(mutex_) = false;
-  std::exception_ptr job_error_ GUARDED_BY(mutex_);
 };
 
 /// Process-wide worker count for library kernels (default 1 = serial).

@@ -124,6 +124,13 @@ Tensor spike_matrix(std::int64_t m, std::int64_t k, float density, Rng& rng) {
   return a;
 }
 
+/// fp32 operand of a fresh weight, as a layer builds it on its first forward.
+WeightOperand fp32_operand(const Tensor& weight) {
+  WeightOperand operand;
+  operand.refresh(weight, /*version=*/0, /*int8=*/false);
+  return operand;
+}
+
 TEST(SpmmTest, MatchesDenseAndCountsNonzeros) {
   Rng rng(14);
   const std::int64_t m = 33, k = 127, n = 41;
@@ -180,9 +187,9 @@ TEST_P(SpikingConvKernelTest, SparseAndDenseDispatchAgree) {
   // kernel (threshold -1) — both must match the reference conv.
   for (const float threshold : {1.1F, -1.0F}) {
     Tensor out({cc.batch, cc.cout, o, o});
-    std::vector<float> wt_cache;
     SpikeKernelStats stats;
-    conv2d_forward_spiking(input, weight, out, spec, threshold, wt_cache, stats);
+    conv2d_forward_spiking(input, weight, out, spec, threshold,
+                           fp32_operand(weight), stats);
     EXPECT_TRUE(out.allclose(expected, 1e-4F))
         << "threshold " << threshold << " geom " << cc.size << "/" << cc.kernel
         << "/" << cc.stride << "/" << cc.pad;
@@ -213,9 +220,8 @@ TEST(SpikingConvKernelTest, AllZeroInputGivesZeroOutput) {
   Rng rng(17);
   uniform_fill(weight, -0.5F, 0.5F, rng);
   Tensor out({2, 3, 6, 6}, 7.0F);  // pre-filled: must be overwritten
-  std::vector<float> wt_cache;
   SpikeKernelStats stats;
-  conv2d_forward_spiking(input, weight, out, spec, 0.1F, wt_cache, stats);
+  conv2d_forward_spiking(input, weight, out, spec, 0.1F, fp32_operand(weight), stats);
   EXPECT_FLOAT_EQ(out.rms(), 0.0F);
   EXPECT_EQ(stats.nonzeros, 0);
   EXPECT_EQ(stats.sparse_samples, 2);
@@ -232,9 +238,9 @@ TEST(SpikingLinearKernelTest, SparseAndDenseDispatchAgree) {
     matmul_bt_naive(input.data(), weight.data(), expected.data(), batch, in, out_f);
     for (const float threshold : {1.1F, -1.0F}) {
       Tensor out({batch, out_f});
-      std::vector<float> wt_cache;
       SpikeKernelStats stats;
-      linear_forward_spiking(input, weight, out, threshold, wt_cache, stats);
+      linear_forward_spiking(input, weight, out, threshold, fp32_operand(weight),
+                             stats);
       EXPECT_TRUE(out.allclose(expected, 1e-4F))
           << "density " << density << " threshold " << threshold;
       EXPECT_EQ(stats.nonzeros, input.count([](float v) { return v != 0.0F; }));
@@ -251,11 +257,11 @@ TEST(SpikingLinearKernelTest, WtCacheSurvivesRepeatCallsAndStatsAccumulate) {
   const Tensor input = spike_matrix(batch, in, 0.05F, rng);
   Tensor expected({batch, out_f});
   matmul_bt_naive(input.data(), weight.data(), expected.data(), batch, in, out_f);
-  std::vector<float> wt_cache;
+  const WeightOperand operand = fp32_operand(weight);
   SpikeKernelStats stats;
   for (int t = 0; t < 3; ++t) {
     Tensor out({batch, out_f});
-    linear_forward_spiking(input, weight, out, 1.0F, wt_cache, stats);
+    linear_forward_spiking(input, weight, out, 1.0F, operand, stats);
     EXPECT_TRUE(out.allclose(expected, 1e-4F)) << "step " << t;
   }
   EXPECT_EQ(stats.elements, 3 * batch * in);
@@ -333,15 +339,13 @@ TEST(DeterminismTest, SpikingConvBitwiseIdentical1v4Threads) {
 
   set_num_threads(1);
   Tensor out1({6, 4, 10, 10});
-  std::vector<float> cache1;
   SpikeKernelStats stats1;
-  conv2d_forward_spiking(input, weight, out1, spec, 0.1F, cache1, stats1);
+  conv2d_forward_spiking(input, weight, out1, spec, 0.1F, fp32_operand(weight), stats1);
 
   set_num_threads(4);
   Tensor out4({6, 4, 10, 10});
-  std::vector<float> cache4;
   SpikeKernelStats stats4;
-  conv2d_forward_spiking(input, weight, out4, spec, 0.1F, cache4, stats4);
+  conv2d_forward_spiking(input, weight, out4, spec, 0.1F, fp32_operand(weight), stats4);
 
   for (std::int64_t i = 0; i < out1.numel(); ++i) EXPECT_EQ(out1[i], out4[i]) << i;
   EXPECT_EQ(stats1.nonzeros, stats4.nonzeros);
