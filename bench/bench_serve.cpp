@@ -353,8 +353,8 @@ SoakResult run_soak(const Options& opt, const bench::BenchData& data,
 
   result.stats = engine.stats();
   result.queue_peak = engine.queue_peak_depth();
-  result.trips = engine.breaker().trips();
-  result.recoveries = engine.breaker().recoveries();
+  result.trips = engine.governor().trips();
+  result.recoveries = engine.governor().recoveries();
   result.faults_fired = faults_fired.load();
   std::sort(latencies.begin(), latencies.end());
   result.p50 = percentile(latencies, 0.50);

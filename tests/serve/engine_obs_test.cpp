@@ -4,8 +4,13 @@
 // recorder's anomaly dumps — all driven through a real running engine.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <limits>
+#include <memory>
+#include <mutex>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -72,6 +77,54 @@ double scrape_value(const std::string& body, const std::string& name) {
       return std::stod(body.substr(pos + needle.size()));
     }
     pos += needle.size();
+  }
+  return -1.0;
+}
+
+/// Holds the worker inside before_forward_hook, one batch at a time, so a
+/// test can build queue pressure and inspect the engine without sleeping.
+class ForwardGate {
+ public:
+  /// Hook side: announce the arrival, then wait to be let through.
+  void pass() {
+    std::unique_lock<std::mutex> lock(mu_);
+    const std::int64_t ticket = ++arrived_;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return open_ || released_ >= ticket; });
+  }
+  void wait_arrived(std::int64_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return arrived_ >= n; });
+  }
+  void release_one() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    ++released_;
+    cv_.notify_all();
+  }
+  void open() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::int64_t arrived_ = 0;
+  std::int64_t released_ = 0;
+  bool open_ = false;
+};
+
+std::int64_t counter_value(const obs::MetricsSnapshot& snap, const std::string& name) {
+  for (const obs::CounterSample& c : snap.counters) {
+    if (c.name == name) return c.value;
+  }
+  return 0;
+}
+
+double gauge_value(const obs::MetricsSnapshot& snap, const std::string& name) {
+  for (const obs::GaugeSample& g : snap.gauges) {
+    if (g.name == name) return g.value;
   }
   return -1.0;
 }
@@ -207,9 +260,9 @@ TEST(EngineObsTest, HealthzGoes503WhenTheCircuitOpens) {
   ServeConfig config = base_config();
   config.obs.endpoint = true;
   config.max_attempts = 1;
-  config.breaker.ladder = {3, 2, 1};
-  config.breaker.failure_threshold = 1;
-  config.breaker.open_cooldown = 1000;  // stay open for the whole test
+  config.governor.ladder = {3, 2, 1};
+  config.governor.failure_threshold = 1;
+  config.governor.open_cooldown = 1000;  // stay open for the whole test
   config.before_forward_hook = [](const std::vector<std::int64_t>&,
                                   std::int64_t, snn::SnnNetwork&) {
     throw std::runtime_error("injected persistent fault");
@@ -217,19 +270,124 @@ TEST(EngineObsTest, HealthzGoes503WhenTheCircuitOpens) {
   ServeEngine engine(config, tiny_factory());
   engine.start();
   // Every batch fails; the ladder descends then the circuit opens.
-  for (int i = 0; i < 10 && engine.breaker().state() != BreakerState::kOpen;
+  for (int i = 0; i < 10 && engine.governor().state() != BreakerState::kOpen;
        ++i) {
     SubmitResult s = engine.submit(class_image(0));
     ASSERT_TRUE(s.accepted);
     s.future.get();
   }
-  ASSERT_EQ(engine.breaker().state(), BreakerState::kOpen);
+  ASSERT_EQ(engine.governor().state(), BreakerState::kOpen);
   const auto health = http_request(engine.http_port(), "/healthz");
   ASSERT_TRUE(health.ok);
   EXPECT_EQ(health.status, 503);
   EXPECT_NE(health.body.find("\"status\":\"unavailable\""), std::string::npos);
   EXPECT_NE(health.body.find("\"breaker\":\"open\""), std::string::npos);
   engine.stop();
+}
+
+TEST(EngineObsTest, HealthzReportsTheServedTUnderBrownout) {
+  ServeConfig config = base_config();
+  config.obs.endpoint = true;
+  config.queue_capacity = 4;  // both lanes: 8 slots in total
+  config.batcher.max_batch = 1;
+  config.governor.dwell = 1;  // one high-depth observation per load level
+  auto gate = std::make_shared<ForwardGate>();
+  config.before_forward_hook = [gate](const std::vector<std::int64_t>&,
+                                      std::int64_t, snn::SnnNetwork&) {
+    gate->pass();
+  };
+  ServeEngine engine(config, tiny_factory());
+  engine.start();
+  std::vector<ResponseFuture> futures;
+  futures.push_back(engine.submit(class_image(0)).future);
+  gate->wait_arrived(1);  // the worker is inside the first forward
+  auto health = http_request(engine.http_port(), "/healthz");
+  ASSERT_TRUE(health.ok);
+  EXPECT_NE(health.body.find("\"status\":\"ok\""), std::string::npos);
+  EXPECT_NE(health.body.find("\"time_steps\":3,"), std::string::npos);
+  EXPECT_NE(health.body.find("\"brownout_level\":0"), std::string::npos);
+
+  // Fill both lanes behind the held worker. No deadlines: nothing expires or
+  // sheds, so every request below is served.
+  SubmitOptions interactive;
+  interactive.deadline = 0ms;
+  SubmitOptions batch = interactive;
+  batch.priority = Priority::kBatch;
+  for (int i = 0; i < 4; ++i) {
+    for (const SubmitOptions& options : {interactive, batch}) {
+      SubmitResult s = engine.submit(class_image(1), options);
+      ASSERT_TRUE(s.accepted);
+      futures.push_back(std::move(s.future));
+    }
+  }
+  // Let the first batch finish. The worker collects the next request with
+  // 7 of 8 slots still queued, which is above the high watermark, so the
+  // load input lowers T one rung before that batch is admitted. Hold it.
+  gate->release_one();
+  gate->wait_arrived(2);
+  ASSERT_EQ(engine.governor().load_level(), 1);
+  ASSERT_EQ(engine.governor().state(), BreakerState::kClosed);
+  health = http_request(engine.http_port(), "/healthz");
+  ASSERT_TRUE(health.ok);
+  EXPECT_EQ(health.status, 200);  // still answering, at reduced T
+  EXPECT_NE(health.body.find("\"status\":\"degraded\""), std::string::npos)
+      << health.body;
+  EXPECT_NE(health.body.find("\"breaker\":\"closed\""), std::string::npos);
+  EXPECT_NE(health.body.find("\"time_steps\":2,"), std::string::npos)
+      << health.body;
+  EXPECT_NE(health.body.find("\"brownout_level\":1"), std::string::npos);
+
+  gate->open();
+  // The held batch (the first interactive filler) ran at the reported T.
+  const InferResponse held = futures[1].get();
+  EXPECT_EQ(held.status, ResponseStatus::kDegraded);
+  EXPECT_EQ(held.time_steps, 2);
+  for (const ResponseFuture& f : futures) EXPECT_TRUE(is_success(f.get().status));
+  engine.stop();
+}
+
+TEST(EngineObsTest, BreakerInstrumentsAreAlwaysOnAndMatchTheGovernor) {
+  // Counters are process-wide, so compare deltas across this engine's life.
+  const obs::MetricsSnapshot before = obs::Registry::instance().snapshot();
+  ServeConfig config = base_config();
+  config.batcher.max_batch = 1;
+  config.max_attempts = 1;
+  config.governor.ladder = {3, 2, 1};
+  config.governor.failure_threshold = 1;
+  config.governor.recovery_threshold = 1;
+  config.governor.open_cooldown = 1;
+  std::atomic<bool> corrupt{true};
+  config.after_forward_hook = [&corrupt](const std::vector<std::int64_t>&,
+                                         Tensor& logits) {
+    if (corrupt.load()) logits[0] = std::numeric_limits<float>::quiet_NaN();
+  };
+  ServeEngine engine(config, tiny_factory());
+  engine.start();
+  const auto serve_one = [&engine] {
+    return engine.submit(class_image(0)).future.get();
+  };
+  // T=3 -> 2 -> 1 -> open: one unhealthy batch per rung.
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(serve_one().status, ResponseStatus::kError);
+  ASSERT_EQ(engine.governor().state(), BreakerState::kOpen);
+  corrupt.store(false);
+  // Cooldown 1: the next batch is the probe, then one healthy batch per rung.
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(serve_one().status, ResponseStatus::kDegraded);
+  }
+  ASSERT_EQ(engine.governor().state(), BreakerState::kClosed);
+  engine.stop();
+
+  const obs::MetricsSnapshot after = obs::Registry::instance().snapshot();
+  const auto delta = [&](const char* name) {
+    return counter_value(after, name) - counter_value(before, name);
+  };
+  EXPECT_EQ(engine.governor().trips(), 1);
+  EXPECT_EQ(engine.governor().recoveries(), 1);
+  EXPECT_EQ(delta("serve.breaker.trips"), engine.governor().trips());
+  EXPECT_EQ(delta("serve.breaker.recoveries"), engine.governor().recoveries());
+  EXPECT_EQ(delta("serve.breaker.probes"), 1);
+  EXPECT_EQ(gauge_value(after, "serve.breaker.state"), 0.0);  // closed
+  EXPECT_EQ(gauge_value(after, "serve.breaker.time_steps"), 3.0);
 }
 
 TEST(EngineObsTest, FlightEndpointServesRecentRequests) {

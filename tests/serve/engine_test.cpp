@@ -230,10 +230,10 @@ TEST(ServeEngineTest, BreakerTripsDegradesOpensProbesAndRecovers) {
   ServeConfig config = base_config();
   config.batcher.max_batch = 1;
   config.max_attempts = 2;
-  config.breaker.ladder = {3, 2, 1};
-  config.breaker.failure_threshold = 2;
-  config.breaker.recovery_threshold = 2;
-  config.breaker.open_cooldown = 2;
+  config.governor.ladder = {3, 2, 1};
+  config.governor.failure_threshold = 2;
+  config.governor.recovery_threshold = 2;
+  config.governor.open_cooldown = 2;
   std::atomic<bool> corrupt{true};
   config.after_forward_hook = [&corrupt](const std::vector<std::int64_t>&,
                                          Tensor& logits) {
@@ -255,13 +255,13 @@ TEST(ServeEngineTest, BreakerTripsDegradesOpensProbesAndRecovers) {
     EXPECT_EQ(r.status, ResponseStatus::kError) << "request " << i;
     EXPECT_EQ(r.retries, 1);
   }
-  EXPECT_EQ(engine.breaker().state(), BreakerState::kOpen);
-  EXPECT_EQ(engine.breaker().trips(), 1);
+  EXPECT_EQ(engine.governor().state(), BreakerState::kOpen);
+  EXPECT_EQ(engine.governor().trips(), 1);
   // Open: first batch refused outright (cooldown 2), the second is the
   // probe — still corrupt, so it fails and the circuit re-opens.
   EXPECT_EQ(serve_one().status, ResponseStatus::kUnavailable);
   EXPECT_EQ(serve_one().status, ResponseStatus::kError);  // failed probe ran
-  EXPECT_EQ(engine.breaker().state(), BreakerState::kOpen);
+  EXPECT_EQ(engine.governor().state(), BreakerState::kOpen);
 
   // Heal the fault; the next probe succeeds and the ladder climbs home.
   corrupt.store(false);
@@ -275,13 +275,13 @@ TEST(ServeEngineTest, BreakerTripsDegradesOpensProbesAndRecovers) {
   const InferResponse healthy = serve_one();
   EXPECT_EQ(healthy.status, ResponseStatus::kOk);
   EXPECT_EQ(healthy.time_steps, 3);
-  EXPECT_EQ(engine.breaker().state(), BreakerState::kClosed);
-  EXPECT_EQ(engine.breaker().recoveries(), 1);
+  EXPECT_EQ(engine.governor().state(), BreakerState::kClosed);
+  EXPECT_EQ(engine.governor().recoveries(), 1);
   engine.stop();
 
   // The transition history shows the full arc, in order.
   std::vector<BreakerState> states;
-  for (const auto& t : engine.breaker().history()) states.push_back(t.state);
+  for (const auto& t : engine.governor().history()) states.push_back(t.state);
   const std::vector<BreakerState> arc = {
       BreakerState::kDegraded, BreakerState::kOpen, BreakerState::kHalfOpen,
       BreakerState::kClosed};
@@ -296,6 +296,24 @@ TEST(ServeEngineTest, BreakerTripsDegradesOpensProbesAndRecovers) {
   EXPECT_GT(stats.errors, 0);
   EXPECT_GT(stats.completed_degraded, 0);
   EXPECT_GT(stats.completed_ok, 0);
+}
+
+TEST(ServeEngineTest, HealthyTrafficRunsAtTheGovernorsTopRung) {
+  // The governor's one ladder is the only T policy: a top rung above the
+  // network's built-in T is what healthy, unloaded traffic runs at, and it
+  // counts as full quality (kOk), not as a degraded answer.
+  ServeConfig config = base_config();
+  config.governor.ladder = {4, 2, 1};
+  ServeEngine engine(config, tiny_factory());
+  engine.start();
+  for (int i = 0; i < 4; ++i) {
+    const InferResponse r = engine.submit(class_image(i % 2)).future.get();
+    EXPECT_EQ(r.status, ResponseStatus::kOk) << "request " << i;
+    EXPECT_EQ(r.time_steps, 4) << "request " << i;
+    EXPECT_EQ(r.predicted, i % 2);
+  }
+  engine.stop();
+  EXPECT_EQ(engine.stats().completed_degraded, 0);
 }
 
 TEST(ServeEngineTest, WatchdogBoundsClientWaitWhenWorkerWedges) {
