@@ -189,14 +189,6 @@ struct SoakResult {
   bool passed = false;
 };
 
-double percentile(std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  std::sort(sorted.begin(), sorted.end());
-  const auto idx = static_cast<std::size_t>(
-      p * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[std::min(idx, sorted.size() - 1)];
-}
-
 SoakResult run_soak(const Options& opt, const data::LabeledImages& test,
                     const std::vector<std::string>& versions,
                     const std::string& corrupt_path) {
@@ -307,9 +299,9 @@ SoakResult run_soak(const Options& opt, const data::LabeledImages& test,
   engine.stop();
   r.elapsed_s = wall.seconds();
   r.lost = r.accepted - r.resolved;
-  r.drain_p50_ms = percentile(drains, 0.50);
-  r.drain_max_ms = drains.empty() ? 0.0 : *std::max_element(drains.begin(),
-                                                            drains.end());
+  std::sort(drains.begin(), drains.end());
+  r.drain_p50_ms = bench::percentile(drains, 0.50);
+  r.drain_max_ms = drains.empty() ? 0.0 : drains.back();
   r.passed = r.lost == 0 && r.corrupt_rejected == r.corrupt_deploys &&
              r.corrupt_deploys > 0 && r.auto_rollbacks >= 1;
 

@@ -4,7 +4,7 @@
 // transpose variants), batched conv forward/backward, the linear layer,
 // pooling, the sparse-vs-dense spike-GEMM density sweep, a synaptic layer
 // across requests (weight operand reused vs rebuilt), IF-neuron stepping,
-// and dense vs event-driven inference.
+// and whole-network inference across input activity.
 //
 // Regression workflow: tools/bench_to_json.sh runs this binary with JSON
 // output and stamps it with build provenance; the checked-in
@@ -16,7 +16,6 @@
 #include <benchmark/benchmark.h>
 
 #include "src/obs/build_info.h"
-#include "src/snn/event_driven.h"
 #include "src/snn/neuron.h"
 #include "src/snn/snn_network.h"
 #include "src/tensor/gemm.h"
@@ -342,10 +341,13 @@ void BM_IfNeuronStep(benchmark::State& state) {
 }
 BENCHMARK(BM_IfNeuronStep)->Arg(1 << 12)->Arg(1 << 16)->MinTime(0.2);
 
-// Dense time-stepped vs event-driven inference at controlled input activity.
-// The event engine's runtime should drop with activity while the dense
-// engine's stays flat — the software analogue of the Sec. VI sparsity
-// argument. Arg: active pixels per mille (1000 = fully dense).
+// Whole-network inference at controlled input activity: the activity sweep
+// of the one sparse inference path. Every synaptic layer picks the event
+// scatter or the dense kernel from its input's spike density, so runtime
+// falls with activity — the software analogue of the Sec. VI sparsity
+// argument, which CI gates as BM_DenseInference/10 against /1000. The name
+// stays so the checked-in baseline rows still compare. Arg: active pixels
+// per mille (1000 = fully dense).
 std::unique_ptr<snn::SnnNetwork> sparse_bench_net() {
   auto net = std::make_unique<snn::SnnNetwork>(2);
   Rng rng(7);
@@ -379,18 +381,6 @@ void BM_DenseInference(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DenseInference)->Arg(1000)->Arg(100)->Arg(10)->MinTime(0.2);
-
-void BM_EventDrivenInference(benchmark::State& state) {
-  auto net = sparse_bench_net();
-  snn::EventDrivenEngine engine(*net);
-  Rng rng(8);
-  const Tensor input = sparse_input(state.range(0), rng);
-  for (auto _ : state) {
-    Tensor logits = engine.forward(input);
-    benchmark::DoNotOptimize(logits.data());
-  }
-}
-BENCHMARK(BM_EventDrivenInference)->Arg(1000)->Arg(100)->Arg(10)->MinTime(0.2);
 
 }  // namespace
 

@@ -222,13 +222,6 @@ bool fault_scheduled(std::int64_t id, double rate) {
   return static_cast<double>(h % 10000ULL) < rate * 10000.0;
 }
 
-double percentile(std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const auto idx = static_cast<std::size_t>(
-      p * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[std::min(idx, sorted.size() - 1)];
-}
-
 struct SoakResult {
   serve::ServeStats stats;
   std::int64_t queue_peak = 0;
@@ -357,9 +350,9 @@ SoakResult run_soak(const Options& opt, const bench::BenchData& data,
   result.recoveries = engine.governor().recoveries();
   result.faults_fired = faults_fired.load();
   std::sort(latencies.begin(), latencies.end());
-  result.p50 = percentile(latencies, 0.50);
-  result.p95 = percentile(latencies, 0.95);
-  result.p99 = percentile(latencies, 0.99);
+  result.p50 = bench::percentile(latencies, 0.50);
+  result.p95 = bench::percentile(latencies, 0.95);
+  result.p99 = bench::percentile(latencies, 0.99);
   const serve::ServeStats& s = result.stats;
   result.completion_rate =
       s.accepted > 0
@@ -588,8 +581,8 @@ OverheadResult run_overhead(const Options& opt, const bench::BenchData& data,
     Leg leg;
     leg.scrapes = scrape_count.load();
     std::sort(latencies.begin(), latencies.end());
-    leg.p50 = percentile(latencies, 0.50);
-    leg.p99 = percentile(latencies, 0.99);
+    leg.p50 = bench::percentile(latencies, 0.50);
+    leg.p99 = bench::percentile(latencies, 0.99);
     return leg;
   };
 

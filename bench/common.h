@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "src/core/pipeline.h"
 #include "src/obs/build_info.h"
@@ -31,6 +32,15 @@ namespace ullsnn::bench {
 /// result file records how the binary that produced it was built.
 inline void write_csv(const Table& table, const std::string& path) {
   table.write_csv(path, obs::build_info_comment());
+}
+
+/// Nearest-rank percentile (p in [0, 1]) of samples sorted ascending; 0 when
+/// there are none.
+inline double percentile(const std::vector<double>& sorted, double p) {
+  if (sorted.empty()) return 0.0;
+  const auto idx = static_cast<std::size_t>(
+      p * static_cast<double>(sorted.size() - 1) + 0.5);
+  return sorted[std::min(idx, sorted.size() - 1)];
 }
 
 enum class Scale { kQuick, kDefault, kFull };

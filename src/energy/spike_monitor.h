@@ -29,6 +29,7 @@ struct ActivityReport {
 };
 
 /// Reset counters, run the whole dataset through `net`, and report activity.
+/// Throws std::invalid_argument on an empty dataset.
 ActivityReport measure_activity(snn::SnnNetwork& net,
                                 const data::LabeledImages& dataset,
                                 std::int64_t batch_size = 64);

@@ -5,8 +5,8 @@
 //
 // Spike counts are read from the layers' own activity counters (per-step
 // deltas of spikes_emitted()), so probe totals agree with
-// energy::SpikeMonitor / count_snn_flops EXACTLY — same counters, no second
-// bookkeeping.
+// energy::measure_activity / count_snn_flops EXACTLY — same counters, no
+// second bookkeeping.
 //
 // The live Delta estimate uses the soft-reset IF identity: over a sequence,
 //   sum_t I(t) = U(T) - U(0) + V_th * n_spikes        (leak = 1, Eq. 2-4)

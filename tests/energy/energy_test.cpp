@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "src/core/converter.h"
 #include "src/dnn/conv2d.h"
 #include "src/dnn/linear.h"
 #include "src/dnn/activations.h"
@@ -66,6 +69,70 @@ TEST(SnnFlopsTest, SparseInputsScaleAcs) {
   EXPECT_DOUBLE_EQ(r.layers[1].acs, 0.0);
 }
 
+/// A converted conv -> flatten -> linear net on one-channel `size` x `size`
+/// images, so the readout is the spike-fed layer.
+std::unique_ptr<snn::SnnNetwork> conv_linear_net(std::int64_t channels,
+                                                 std::int64_t size, float clip,
+                                                 std::int64_t classes,
+                                                 std::int64_t time_steps,
+                                                 std::uint64_t seed) {
+  Rng rng(seed);
+  dnn::Sequential model;
+  model.emplace<dnn::Conv2d>(1, channels, 3, 1, 1, false, rng);
+  model.emplace<dnn::ThresholdReLU>(clip);
+  model.emplace<dnn::Flatten>();
+  model.emplace<dnn::Linear>(channels * size * size, classes, false, rng);
+  data::LabeledImages calib;
+  calib.images = Tensor({8, 1, size, size});
+  uniform_fill(calib.images, 0.0F, 1.0F, rng);
+  calib.labels.assign(8, 0);
+  core::ConversionConfig cc;
+  cc.time_steps = time_steps;
+  return core::convert(model, calib, cc, nullptr);
+}
+
+/// Per-sample ACs of `net` on `images`, counted from a fresh forward.
+FlopsReport run_and_count(snn::SnnNetwork& net, const Tensor& images) {
+  net.reset_stats();
+  net.forward(images, false);
+  return count_snn_flops(net, images.shape());
+}
+
+TEST(SnnFlopsTest, ConvFedAcsScaleWithInputActivity) {
+  // One active pixel drives the conv layer at a few output positions only,
+  // so the spike-fed readout does far fewer ACs than on an all-ones image.
+  auto net = conv_linear_net(/*channels=*/8, /*size=*/8, /*clip=*/0.5F,
+                             /*classes=*/3, /*time_steps=*/2, /*seed=*/4);
+  const Shape shape{1, 1, 8, 8};
+  const FlopsReport hot = run_and_count(*net, Tensor(shape, 1.0F));
+  Tensor one_pixel(shape);
+  one_pixel[0] = 1.0F;
+  const FlopsReport cold = run_and_count(*net, one_pixel);
+  ASSERT_EQ(hot.layers.size(), 2U);
+  EXPECT_GT(hot.layers[1].acs, 0.0);
+  EXPECT_LT(cold.layers[1].acs, hot.layers[1].acs / 8.0);
+  // No layer does more ACs than its dense MACs at every step.
+  const double steps = static_cast<double>(net->time_steps());
+  const double readout_macs = static_cast<double>(net->layer(2).macs({1, 8 * 8 * 8}));
+  for (const FlopsReport* r : {&hot, &cold}) {
+    EXPECT_DOUBLE_EQ(r->layers[0].acs, 0.0);
+    EXPECT_LE(r->layers[1].acs, readout_macs * steps);
+  }
+}
+
+TEST(SnnFlopsTest, ZeroInputDoesNoSynapticWork) {
+  auto net = conv_linear_net(/*channels=*/4, /*size=*/4, /*clip=*/1.0F,
+                             /*classes=*/2, /*time_steps=*/4, /*seed=*/5);
+  const Tensor zeros({1, 1, 4, 4});
+  net->reset_stats();
+  const Tensor logits = net->forward(zeros, false);
+  EXPECT_FLOAT_EQ(logits.sum(), 0.0F);
+  for (std::int64_t i = 0; i < net->size(); ++i) {
+    EXPECT_EQ(net->layer(i).input_nonzeros(), 0) << net->layer(i).name();
+  }
+  EXPECT_DOUBLE_EQ(count_snn_flops(*net, zeros.shape()).total_acs, 0.0);
+}
+
 TEST(SnnFlopsTest, FirstLayerPerStepOption) {
   auto net = std::make_unique<snn::SnnNetwork>(3);
   net->emplace<snn::SpikingLinear>(Tensor({4, 4}, 0.1F), snn::IfConfig{}, true);
@@ -117,6 +184,13 @@ TEST(SpikeMonitorTest, MeasuresControlledRates) {
   EXPECT_NEAR(report.layers[0].spikes_per_neuron, 4.0, 1e-9);
   EXPECT_NEAR(report.total_spikes_per_image, 4.0 * 4.0, 1e-9);
   EXPECT_NEAR(report.mean_spikes_per_neuron(), 4.0, 1e-9);
+}
+
+TEST(SpikeMonitorTest, RejectsEmptyDataset) {
+  // Per-sample rates over zero samples would be NaN; refuse before running.
+  auto net = std::make_unique<snn::SnnNetwork>(2);
+  net->emplace<snn::SpikingLinear>(Tensor({2, 4}, 1.0F), snn::IfConfig{}, false);
+  EXPECT_THROW(measure_activity(*net, data::LabeledImages{}), std::invalid_argument);
 }
 
 /// Fully hand-computable two-layer net: identity synapse into two IF neurons
