@@ -56,18 +56,6 @@ class MicroBatcher {
   /// max_batch. `codel` (optional) classifies in-deadline requests by
   /// sojourn time.
   MicroBatch collect(LaneQueue<PendingRequest>& queue, CoDelController* codel) {
-    return collect_impl(queue, codel);
-  }
-
-  /// Single-lane compatibility overload (no CoDel) for callers that still
-  /// drive a plain BoundedQueue.
-  MicroBatch collect(BoundedQueue<PendingRequest>& queue) {
-    return collect_impl(queue, nullptr);
-  }
-
- private:
-  template <typename Queue>
-  MicroBatch collect_impl(Queue& queue, CoDelController* codel) {
     MicroBatch batch;
     PendingRequest first;
     if (!queue.pop(&first, config_.poll_timeout)) return batch;
@@ -85,6 +73,7 @@ class MicroBatcher {
     return batch;
   }
 
+ private:
   static void admit(PendingRequest&& request, MicroBatch& batch,
                     CoDelController* codel) {
     const auto now = Clock::now();

@@ -123,7 +123,7 @@ struct ServeConfig {
   /// Live-operations layer (endpoint, flight dumps, SLO, trace sampling).
   ServeObsConfig obs;
 
-  // ---- chaos hooks (tests / bench_serve; null in production) ----
+  // ---- chaos hooks (tests / benches; null in production) ----
   /// Called before each forward attempt with the batch's request ids and the
   /// attempt index. Throwing simulates a transiently failing step; pair with
   /// robust::FaultInjector to corrupt real state.
@@ -148,8 +148,6 @@ struct SubmitResult {
   InferResponse response;  // filled only when !accepted
 };
 
-/// Engine-owned counters, independent of the telemetry build flag so tests
-/// can assert exact totals in every configuration.
 /// Engine-owned counters, independent of the telemetry build flag so tests
 /// can assert exact totals in every configuration. Conservation ledger
 /// (exact, established by the slot's winning critical section):
@@ -232,6 +230,9 @@ class ServeEngine {
   std::int64_t queue_peak_depth() const { return queue_.peak_depth(); }
   std::int64_t lane_depth(Priority p) const {
     return queue_.lane_depth(static_cast<std::size_t>(p));
+  }
+  std::int64_t lane_peak_depth(Priority p) const {
+    return queue_.lane_peak_depth(static_cast<std::size_t>(p));
   }
 
   /// Actual port of the embedded endpoint (config.obs.endpoint); 0 when the

@@ -11,59 +11,14 @@
 
 namespace ullsnn::serve {
 
-// ---------------------------------------------------------------------------
-// LogHistogram
-// ---------------------------------------------------------------------------
-
-LogHistogram::LogHistogram(double min_ms, double growth, double max_ms) {
-  if (min_ms <= 0.0 || growth <= 1.0 || max_ms <= min_ms) {
-    throw std::invalid_argument("LogHistogram: need 0 < min_ms < max_ms, growth > 1");
-  }
-  for (double b = min_ms; b < max_ms; b *= growth) bounds_.push_back(b);
-  bounds_.push_back(max_ms);
-  counts_.assign(bounds_.size() + 1, 0);
-}
-
-void LogHistogram::record(double ms) {
-  if (ms < 0.0) ms = 0.0;
-  std::size_t i = 0;
-  while (i < bounds_.size() && ms > bounds_[i]) ++i;
-  ++counts_[i];
-  ++count_;
-  sum_ += ms;
-  if (ms > max_) max_ = ms;
-}
-
-void LogHistogram::merge(const LogHistogram& other) {
-  if (other.bounds_.size() != bounds_.size()) {
-    throw std::invalid_argument("LogHistogram::merge: bucket layouts differ");
-  }
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  count_ += other.count_;
-  sum_ += other.sum_;
-  if (other.max_ > max_) max_ = other.max_;
-}
-
-double LogHistogram::percentile(double q) const {
-  if (count_ <= 0) return 0.0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  const double rank = q * static_cast<double>(count_ - 1);
-  std::int64_t cumulative = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    const double first_in_bucket = static_cast<double>(cumulative);
-    cumulative += counts_[i];
-    if (rank >= static_cast<double>(cumulative)) continue;
-    const double lo = i == 0 ? 0.0 : bounds_[i - 1];
-    const double hi = i < bounds_.size() ? bounds_[i] : max_;
-    if (hi <= lo) return lo;
-    // Linear interpolation by rank position inside the bucket.
-    const double frac =
-        (rank - first_in_bucket) / static_cast<double>(counts_[i]);
-    return lo + (hi - lo) * frac;
-  }
-  return max_;
+const std::vector<double>& latency_bounds_ms() {
+  static const std::vector<double> bounds = [] {
+    std::vector<double> b;
+    for (double bound = 1e-3; bound < 1e5; bound *= 1.25) b.push_back(bound);
+    b.push_back(1e5);
+    return b;
+  }();
+  return bounds;
 }
 
 // ---------------------------------------------------------------------------
@@ -116,12 +71,6 @@ bool LoadReport::conserved() const {
     if (!c.conserved()) return false;
   }
   return true;
-}
-
-LogHistogram LoadReport::merged_latency() const {
-  LogHistogram merged;
-  for (const auto& c : per_class) merged.merge(c.latency);
-  return merged;
 }
 
 // ---------------------------------------------------------------------------
@@ -207,6 +156,7 @@ LoadReport LoadGen::run(ServeEngine& engine) {
 
   LoadReport report;
   Mutex report_mu;  // guards report.per_class during collection
+  obs::Histogram latency(latency_bounds_ms());  // lock-free; both classes
 
   // Completion side: collectors block on futures so the submitter never
   // does. The queue is sized for the whole run — it must never refuse an
@@ -216,9 +166,17 @@ LoadReport LoadGen::run(ServeEngine& engine) {
   std::vector<std::thread> collectors;
   collectors.reserve(static_cast<std::size_t>(config_.collectors));
   for (std::int64_t c = 0; c < config_.collectors; ++c) {
-    collectors.emplace_back([&completions, &report, &report_mu] {
+    collectors.emplace_back([&completions, &report, &report_mu, &latency] {
       Outstanding item;
-      while (completions.pop(&item, std::chrono::milliseconds(50))) {
+      for (;;) {
+        // pop() also returns false on a timeout, which is only a gap between
+        // arrivals while the submitter still runs. Stop only on an empty pop
+        // that began after close(): then the queue is closed and drained.
+        const bool was_closed = completions.closed();
+        if (!completions.pop(&item, std::chrono::milliseconds(50))) {
+          if (was_closed) break;
+          continue;
+        }
         const InferResponse response = item.future.get();
         // Coordinated-omission-safe latency: the engine's own
         // admission-to-fulfillment time (stamped inside the fulfillment
@@ -234,11 +192,11 @@ LoadReport LoadGen::run(ServeEngine& engine) {
         switch (response.status) {
           case ResponseStatus::kOk:
             ++cls.ok;
-            cls.latency.record(latency_ms);
+            latency.observe(latency_ms);
             break;
           case ResponseStatus::kDegraded:
             ++cls.degraded;
-            cls.latency.record(latency_ms);
+            latency.observe(latency_ms);
             break;
           case ResponseStatus::kExpired:
           case ResponseStatus::kShed:
@@ -306,6 +264,9 @@ LoadReport LoadGen::run(ServeEngine& engine) {
   report.wall_seconds =
       std::chrono::duration<double>(submit_end - start).count();
   report.max_submit_lag_ms = max_lag_ms;
+  report.latency = obs::HistogramSample{"loadgen.latency_ms", latency.bounds(),
+                                        latency.bucket_counts(),
+                                        latency.count(), latency.sum()};
   return report;
 }
 

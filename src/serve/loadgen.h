@@ -1,16 +1,14 @@
 // Open-loop Poisson load generator with coordinated-omission-safe latency.
 //
-// The difference between this and bench_serve's closed-loop soak is what
-// happens when the engine falls behind. A closed-loop driver waits for
-// responses before sending more work, so an overloaded engine quietly
-// throttles its own load source and the measured latencies describe a
-// gentler workload than the one requested — the coordinated-omission trap.
-// This generator is open-loop: arrivals follow a Poisson process (seeded
-// exponential inter-arrival gaps) whose *intended* start times are fixed
-// before the run begins, every request is submitted regardless of engine
-// state, and each latency is measured from the request's intended start —
-// submission backlog in the generator counts against the engine, exactly as
-// a queueing client would experience it.
+// A closed-loop driver waits for responses before sending more work, so an
+// overloaded engine quietly throttles its own load source and the measured
+// latencies describe a gentler workload than the one requested — the
+// coordinated-omission trap. This generator is open-loop: arrivals follow a
+// Poisson process (seeded exponential inter-arrival gaps) whose *intended*
+// start times are fixed before the run begins, every request is submitted
+// regardless of engine state, and each latency is measured from the
+// request's intended start — submission backlog in the generator counts
+// against the engine, exactly as a queueing client would experience it.
 //
 // Per-priority-class accounting is exact: for each class,
 //
@@ -26,43 +24,18 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/metrics.h"
 #include "src/serve/request.h"
 
 namespace ullsnn::serve {
 
 class ServeEngine;
 
-/// Log-bucketed latency histogram (milliseconds). Geometric bucket bounds
-/// cover 1 us .. ~100 s so tail percentiles stay resolvable across five
-/// orders of magnitude without per-sample storage. Not thread-safe; callers
-/// serialize recording (LoadGen locks per class).
-class LogHistogram {
- public:
-  /// Buckets: bound[i] = min_ms * growth^i, until >= max_ms.
-  explicit LogHistogram(double min_ms = 1e-3, double growth = 1.25,
-                        double max_ms = 1e5);
-
-  void record(double ms);
-  void merge(const LogHistogram& other);
-
-  std::int64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  double max() const { return max_; }
-  double mean() const { return count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0; }
-  /// Percentile by cumulative bucket walk with linear interpolation inside
-  /// the bucket; q in [0, 1]. Returns 0 when empty.
-  double percentile(double q) const;
-
-  const std::vector<double>& bounds() const { return bounds_; }
-  const std::vector<std::int64_t>& counts() const { return counts_; }
-
- private:
-  std::vector<double> bounds_;
-  std::vector<std::int64_t> counts_;  // bounds_.size() + 1, overflow last
-  std::int64_t count_ = 0;
-  double sum_ = 0.0;
-  double max_ = 0.0;
-};
+/// Bucket bounds (milliseconds) of LoadGen's success-latency histogram:
+/// geometric, 1 us .. 100 s at growth 1.25, so a bucket-interpolated tail
+/// percentile stays within one bucket (±25%) of the true value across five
+/// orders of magnitude without per-sample storage.
+const std::vector<double>& latency_bounds_ms();
 
 /// Uniform relative-deadline distribution for one priority class.
 struct DeadlineDist {
@@ -100,9 +73,6 @@ struct ClassLoadStats {
   std::int64_t degraded = 0;
   std::int64_t shed = 0;    // kExpired / kShed after admission
   std::int64_t failed = 0;  // kTimeout / kUnavailable / kError
-  /// Completion latency from the *intended* Poisson start time, successes
-  /// only (goodput latency — what an SLO would be written against).
-  LogHistogram latency;
 
   std::int64_t fulfilled() const { return ok + degraded; }
   bool conserved() const {
@@ -113,6 +83,11 @@ struct ClassLoadStats {
 
 struct LoadReport {
   ClassLoadStats per_class[kPriorityClasses];
+  /// Completion latency from the *intended* Poisson start time, successes of
+  /// both classes only (goodput latency — what an SLO would be written
+  /// against), bucketed by latency_bounds_ms(). Read percentiles with
+  /// obs::histogram_quantile.
+  obs::HistogramSample latency;
   double wall_seconds = 0.0;
   /// Worst lateness of the submitter against the intended schedule; large
   /// values mean the generator itself (not the engine) was the bottleneck.
@@ -130,8 +105,6 @@ struct LoadReport {
   double goodput_qps() const;
   double shed_rate() const;  // shed / submitted
   bool conserved() const;
-  /// Merged success-latency histogram across both classes.
-  LogHistogram merged_latency() const;
 };
 
 /// Drives one ServeEngine with the configured open-loop schedule. The

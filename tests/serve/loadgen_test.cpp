@@ -1,6 +1,7 @@
-// Open-loop load generator: log-bucketed histogram math, schedule
-// determinism per seed, and the per-class conservation ledger cross-checked
-// against the engine's own counters under deliberate overload.
+// Open-loop load generator: latency bucket bounds, schedule determinism per
+// seed, every outcome read at low rates, and the per-class conservation
+// ledger cross-checked against the engine's own counters under deliberate
+// overload.
 #include "src/serve/loadgen.h"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <chrono>
 #include <thread>
 
+#include "src/obs/exposition.h"
 #include "src/serve/engine.h"
 
 namespace ullsnn::serve {
@@ -15,52 +17,27 @@ namespace {
 
 using namespace std::chrono_literals;
 
-TEST(LogHistogramTest, ValidatesConfig) {
-  EXPECT_THROW(LogHistogram(0.0, 1.25, 1e5), std::invalid_argument);
-  EXPECT_THROW(LogHistogram(1e-3, 1.0, 1e5), std::invalid_argument);
-  EXPECT_THROW(LogHistogram(10.0, 1.25, 10.0), std::invalid_argument);
-}
-
-TEST(LogHistogramTest, MomentsAreExactPercentilesBucketBounded) {
-  LogHistogram h;
+TEST(LatencyHistogramTest, MomentsAreExactPercentilesBucketBounded) {
+  obs::Histogram h(latency_bounds_ms());
   double sum = 0.0;
   for (int v = 1; v <= 100; ++v) {
-    h.record(static_cast<double>(v));
+    h.observe(static_cast<double>(v));
     sum += v;
   }
-  EXPECT_EQ(h.count(), 100);
-  EXPECT_DOUBLE_EQ(h.sum(), sum);
-  EXPECT_DOUBLE_EQ(h.mean(), sum / 100.0);
-  EXPECT_DOUBLE_EQ(h.max(), 100.0);
+  const obs::HistogramSample sample{"latency_ms", h.bounds(),
+                                    h.bucket_counts(), h.count(), h.sum()};
+  EXPECT_EQ(sample.count, 100);
+  EXPECT_DOUBLE_EQ(sample.sum, sum);
   // Percentiles are bucket-interpolated: with growth 1.25 the answer is
   // within one bucket (±25%) of the true value.
-  EXPECT_GT(h.percentile(0.5), 50.0 * 0.75);
-  EXPECT_LT(h.percentile(0.5), 50.0 * 1.25);
-  EXPECT_GT(h.percentile(0.99), 99.0 * 0.75);
-  EXPECT_LT(h.percentile(0.99), 99.0 * 1.25);
-  EXPECT_LE(h.percentile(0.0), h.percentile(0.5));
-  EXPECT_LE(h.percentile(0.5), h.percentile(1.0));
-}
-
-TEST(LogHistogramTest, EmptyHistogramReportsZeros) {
-  const LogHistogram h;
-  EXPECT_EQ(h.count(), 0);
-  EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(h.percentile(0.99), 0.0);
-}
-
-TEST(LogHistogramTest, MergeAddsAndRejectsMismatchedLayouts) {
-  LogHistogram a;
-  LogHistogram b;
-  a.record(1.0);
-  a.record(10.0);
-  b.record(100.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 3);
-  EXPECT_DOUBLE_EQ(a.sum(), 111.0);
-  EXPECT_DOUBLE_EQ(a.max(), 100.0);
-  LogHistogram coarse(1e-3, 2.0, 1e5);  // different bucket layout
-  EXPECT_THROW(a.merge(coarse), std::invalid_argument);
+  EXPECT_GT(obs::histogram_quantile(sample, 0.5), 50.0 * 0.75);
+  EXPECT_LT(obs::histogram_quantile(sample, 0.5), 50.0 * 1.25);
+  EXPECT_GT(obs::histogram_quantile(sample, 0.99), 99.0 * 0.75);
+  EXPECT_LT(obs::histogram_quantile(sample, 0.99), 99.0 * 1.25);
+  EXPECT_LE(obs::histogram_quantile(sample, 0.0),
+            obs::histogram_quantile(sample, 0.5));
+  EXPECT_LE(obs::histogram_quantile(sample, 0.5),
+            obs::histogram_quantile(sample, 1.0));
 }
 
 snn::IfConfig if_config() {
@@ -158,6 +135,29 @@ TEST(LoadGenTest, ScheduleIsDeterministicPerSeed) {
             second.cls(Priority::kBatch).submitted);
   EXPECT_TRUE(first.conserved());
   EXPECT_TRUE(second.conserved());
+}
+
+TEST(LoadGenTest, LowRateRunReadsEveryOutcome) {
+  // At 10 qps the mean gap between arrivals (100 ms) is longer than the
+  // collectors' 50 ms pop timeout. A timeout is a gap, not the end of the
+  // run: every accepted future must still be read and counted.
+  ServeEngine engine(engine_config(), tiny_factory());
+  engine.start();
+  LoadGenConfig load = load_config();
+  load.qps = 10.0;
+  load.duration = 1000ms;
+  const LoadReport report = LoadGen(load).run(engine);
+  engine.stop();
+
+  const std::int64_t accepted = report.cls(Priority::kInteractive).accepted +
+                                report.cls(Priority::kBatch).accepted;
+  EXPECT_GT(accepted, 0);
+  EXPECT_EQ(report.fulfilled() + report.failed() +
+                report.cls(Priority::kInteractive).shed +
+                report.cls(Priority::kBatch).shed,
+            accepted);
+  EXPECT_TRUE(report.conserved());
+  EXPECT_EQ(report.latency.count, report.fulfilled());
 }
 
 TEST(LoadGenTest, ConservationMatchesEngineLedgerUnderOverload) {

@@ -1,6 +1,7 @@
 // Tiny blocking HTTP/1.1 test client for exercising obs::HttpEndpoint.
 // Sends one request, reads to EOF (the endpoint always closes), and splits
-// the status line / headers / body apart. Test-only; no production use.
+// the status line / headers / body apart. Used by tests and bench_load; no
+// production use.
 #pragma once
 
 #include <arpa/inet.h>
